@@ -1,12 +1,14 @@
 //! End-to-end checks of the regression detector: known synthetic shifts
 //! must classify correctly across seeds, the bootstrap CI must actually
-//! cover the true median, and the `ntr-bench --gate` binary must turn a
-//! synthetic slowdown into a nonzero exit.
+//! cover the true median, the `ntr-bench --gate` binary must turn a
+//! synthetic slowdown into a nonzero exit, and the committed baseline
+//! the gate reads must cover the registry exactly.
 
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use ntr_bench::artifact::write_artifact;
+use ntr_bench::artifact::{load_dir, write_artifact};
 use ntr_bench::compare::{compare, DEFAULT_THRESHOLD_PCT};
 use ntr_bench::stats::{bootstrap_ci_median, summarize, Summary};
 use ntr_obs::compare::Verdict;
@@ -176,4 +178,28 @@ fn synthetic_summaries_have_tight_cis() {
         summary = s.median_ns
     );
     assert!(s.ci95_hi_ns - s.ci95_lo_ns < 20.0, "CI too wide: {s:?}");
+}
+
+/// `ci/bench-baseline/` is the one committed baseline set: exactly one
+/// `BENCH_<name>.json` per registry workload, each naming its own
+/// workload, and no other file.
+#[test]
+fn committed_baseline_covers_the_registry_exactly() {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../ci/bench-baseline");
+    let files: BTreeSet<String> = std::fs::read_dir(&dir)
+        .expect("ci/bench-baseline exists")
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    let names: BTreeSet<String> = ntr_bench::workloads::registry()
+        .iter()
+        .map(|w| w.name.to_owned())
+        .collect();
+    let expected: BTreeSet<String> = names.iter().map(|n| format!("BENCH_{n}.json")).collect();
+    assert_eq!(files, expected);
+    let recorded: BTreeSet<String> = load_dir(&dir)
+        .expect("baseline artifacts parse")
+        .into_iter()
+        .map(|a| a.workload)
+        .collect();
+    assert_eq!(recorded, names);
 }

@@ -7,12 +7,10 @@
 //!
 //! ```text
 //! ntr-loadgen --stdio --smoke            # CI gate: 50 requests, no errors, valid /metrics
-//! ntr-loadgen --stdio --bench            # 1-worker vs 4-worker throughput comparison
-//! ntr-loadgen --stdio --bench --baseline FILE   # + per-phase deltas vs a prior artifact
 //! ntr-loadgen --stdio --chaos [--smoke]  # fault-injection gate: degrade, never fail
 //! ntr-loadgen --stdio --sessions [--smoke]  # incremental-rerouting session gate
 //! ntr-loadgen --stdio [--nets N] [--size K] [--repeat F] [--workers N]
-//!             [--rate R] [--seed S] [--out FILE] [--serve-bin PATH]
+//!             [--rate R] [--seed S] [--serve-bin PATH]
 //! ```
 //!
 //! `--chaos` spawns the server under an `NTR_FAULTS` plan that fails
@@ -36,13 +34,6 @@
 //! be retained as a flagged journal exemplar. `--sessions --smoke` is
 //! the small-N CI variant.
 //!
-//! `--baseline FILE` points at a previously written
-//! `results/serve_throughput.json`; each phase's latency percentiles are
-//! judged with the same threshold rule as the `ntr-bench` regression
-//! gate ([`ntr_obs::compare`]) and printed as a delta table. Raw
-//! percentiles carry no confidence interval, so the comparison is
-//! threshold-only and informational — it never fails the run.
-//!
 //! The generator enforces a client-side in-flight window smaller than
 //! the server's queue, so a healthy run never trips backpressure; an
 //! `overloaded` response therefore counts as an error here.
@@ -60,15 +51,13 @@ use ntr_server::json::Json;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: ntr-loadgen --stdio [--smoke | --bench | --chaos [--smoke] | --sessions [--smoke]]\n\
+        "usage: ntr-loadgen --stdio [--smoke | --chaos [--smoke] | --sessions [--smoke]]\n\
          \x20                [--nets N]      requests to send (default 150)\n\
          \x20                [--size K]      pins per net (default 20)\n\
          \x20                [--repeat F]    fraction of repeated nets 0..1 (default 0.2)\n\
          \x20                [--workers N]   server workers for a plain run (default 4)\n\
          \x20                [--rate R]      target requests/sec (default: unpaced)\n\
          \x20                [--seed S]      workload seed (default 1994)\n\
-         \x20                [--out FILE]    write the bench JSON artifact here\n\
-         \x20                [--baseline F]  prior bench artifact to print deltas against\n\
          \x20                [--serve-bin P] path to ntr-serve (default: sibling binary)\n\
          \n\
          --chaos runs the fault-injection gate (with --smoke: the small CI variant):\n\
@@ -1238,126 +1227,9 @@ fn sessions_gate(serve_bin: &PathBuf, seed: u64, smoke_variant: bool) -> i32 {
     }
 }
 
-/// Client-side latency percentiles of one bench phase, as recorded in
-/// the `results/serve_throughput.json` artifact.
-fn latency_percentiles(r: &RunResult) -> Json {
-    Json::obj(vec![
-        ("p50", Json::Num(r.percentile_us(50.0) as f64)),
-        ("p90", Json::Num(r.percentile_us(90.0) as f64)),
-        ("p95", Json::Num(r.percentile_us(95.0) as f64)),
-        ("p99", Json::Num(r.percentile_us(99.0) as f64)),
-    ])
-}
-
-/// Prints per-phase latency-percentile deltas between the fresh bench
-/// artifact and a previously written one, using the shared verdict rule
-/// from [`ntr_obs::compare`]. Informational only — the exit code is
-/// unaffected.
-fn print_baseline_deltas(current: &Json, baseline_path: &str) -> Result<(), String> {
-    use ntr_obs::compare::{classify, shift_pct, Measurement};
-
-    let text = std::fs::read_to_string(baseline_path)
-        .map_err(|e| format!("cannot read {baseline_path}: {e}"))?;
-    let baseline = Json::parse(&text).map_err(|e| format!("{baseline_path}: {e}"))?;
-
-    println!("vs baseline {baseline_path}:");
-    println!(
-        "  {:<28} {:>10} {:>10} {:>8}  verdict",
-        "phase", "base us", "now us", "shift"
-    );
-    for phase in ["single_worker_latency_us", "four_worker_latency_us"] {
-        for pct in ["p50", "p90", "p95", "p99"] {
-            let read = |doc: &Json| {
-                doc.get(phase)
-                    .and_then(|p| p.get(pct))
-                    .and_then(Json::as_f64)
-            };
-            let (Some(base), Some(now)) = (read(&baseline), read(current)) else {
-                println!("  {phase}.{pct:<24} missing on one side, skipped");
-                continue;
-            };
-            let verdict = classify(
-                Measurement::point(base),
-                Measurement::point(now),
-                ntr_obs::compare::DEFAULT_THRESHOLD_PCT,
-            );
-            println!(
-                "  {:<28} {:>10.0} {:>10.0} {:>+7.1}%  {}",
-                format!("{phase}.{pct}"),
-                base,
-                now,
-                shift_pct(base, now),
-                verdict.as_str()
-            );
-        }
-    }
-    Ok(())
-}
-
-fn bench(serve_bin: &PathBuf, w: Workload, out: Option<&str>, baseline: Option<&str>) -> i32 {
-    let requests = generate_requests(w);
-    let single = match run_against_server(serve_bin, 1, &requests, None, None) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("bench (1 worker) FAILED: {e}");
-            return 1;
-        }
-    };
-    print_summary("1 worker ", &single);
-    let four = match run_against_server(serve_bin, 4, &requests, None, None) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("bench (4 workers) FAILED: {e}");
-            return 1;
-        }
-    };
-    print_summary("4 workers", &four);
-    let speedup = four.nets_per_sec() / single.nets_per_sec().max(1e-9);
-    let host_cores = std::thread::available_parallelism().map_or(1, usize::from);
-    println!("speedup: {speedup:.2}x on {host_cores} host core(s)");
-    if host_cores < 2 {
-        println!("note: single-core host; worker scaling cannot show here");
-    }
-
-    let artifact = Json::obj(vec![
-        ("host_cores", Json::Num(host_cores as f64)),
-        ("nets", Json::Num(w.nets as f64)),
-        ("size", Json::Num(w.size as f64)),
-        ("repeat_fraction", Json::Num(w.repeat)),
-        ("seed", Json::Num(w.seed as f64)),
-        ("workload", Json::str("alternating ldrg/h1, moment oracle")),
-        ("single_worker_nps", Json::Num(single.nets_per_sec())),
-        ("four_worker_nps", Json::Num(four.nets_per_sec())),
-        ("speedup", Json::Num(speedup)),
-        ("cache_hit_rate", Json::Num(four.cache_hit_rate())),
-        ("errors", Json::Num((single.errors + four.errors) as f64)),
-        ("single_worker_latency_us", latency_percentiles(&single)),
-        ("four_worker_latency_us", latency_percentiles(&four)),
-    ]);
-    // Compare before overwriting: `--baseline` may point at the same
-    // path `--out` is about to replace.
-    if let Some(baseline_path) = baseline {
-        if let Err(e) = print_baseline_deltas(&artifact, baseline_path) {
-            eprintln!("baseline comparison skipped: {e}");
-        }
-    }
-    if let Some(path) = out {
-        if let Some(dir) = std::path::Path::new(path).parent() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        if let Err(e) = std::fs::write(path, artifact.to_line() + "\n") {
-            eprintln!("cannot write {path}: {e}");
-            return 1;
-        }
-        println!("wrote {path}");
-    }
-    i32::from(single.errors + four.errors > 0)
-}
-
 fn main() -> std::process::ExitCode {
     let mut stdio = false;
     let mut smoke_mode = false;
-    let mut bench_mode = false;
     let mut chaos_mode = false;
     let mut sessions_mode = false;
     let mut workload = Workload {
@@ -1368,8 +1240,6 @@ fn main() -> std::process::ExitCode {
     };
     let mut workers = 4usize;
     let mut rate: Option<f64> = None;
-    let mut out: Option<String> = None;
-    let mut baseline: Option<String> = None;
     let mut serve_bin_arg: Option<String> = None;
 
     let mut args = std::env::args().skip(1);
@@ -1377,7 +1247,6 @@ fn main() -> std::process::ExitCode {
         match arg.as_str() {
             "--stdio" => stdio = true,
             "--smoke" => smoke_mode = true,
-            "--bench" => bench_mode = true,
             "--chaos" => chaos_mode = true,
             "--sessions" => sessions_mode = true,
             "--nets" => match args.next().and_then(|v| v.parse().ok()) {
@@ -1404,8 +1273,6 @@ fn main() -> std::process::ExitCode {
                 Some(s) => workload.seed = s,
                 None => usage(),
             },
-            "--out" => out = args.next().or_else(|| usage()),
-            "--baseline" => baseline = args.next().or_else(|| usage()),
             "--serve-bin" => serve_bin_arg = args.next().or_else(|| usage()),
             _ => usage(),
         }
@@ -1424,23 +1291,12 @@ fn main() -> std::process::ExitCode {
         return std::process::ExitCode::FAILURE;
     }
 
-    if baseline.is_some() && !bench_mode {
-        eprintln!("--baseline compares bench artifacts; add --bench");
-        return std::process::ExitCode::from(2);
-    }
     let code = if chaos_mode {
         chaos(&serve_bin, workload.seed, smoke_mode)
     } else if sessions_mode {
         sessions_gate(&serve_bin, workload.seed, smoke_mode)
     } else if smoke_mode {
         smoke(&serve_bin, workload.seed)
-    } else if bench_mode {
-        bench(
-            &serve_bin,
-            workload,
-            Some(out.as_deref().unwrap_or("results/serve_throughput.json")),
-            baseline.as_deref(),
-        )
     } else {
         let requests = generate_requests(workload);
         match run_against_server(&serve_bin, workers, &requests, rate, None) {

@@ -45,7 +45,6 @@
 //! # }
 //! ```
 
-mod adaptive;
 mod delay;
 mod engine;
 mod error;
@@ -54,7 +53,6 @@ mod moments;
 mod tran;
 mod workspace;
 
-pub use adaptive::AdaptiveOptions;
 pub use delay::{measure_threshold_crossing, sink_delays, sink_delays_with, SimConfig};
 pub use engine::{MomentEngine, ProbeMoments};
 pub use error::SimError;

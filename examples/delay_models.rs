@@ -1,6 +1,6 @@
 //! Tour of the delay-analysis stack on one non-tree routing: Elmore
-//! moments and provable bounds, the D2M estimate, fixed-step and adaptive
-//! transient simulation — and how they all relate.
+//! moments and provable bounds, the D2M estimate and transient
+//! simulation — and how they all relate.
 //!
 //! Run with: `cargo run --release --example delay_models`
 
@@ -8,9 +8,7 @@ use non_tree_routing::circuit::{extract, ExtractOptions, Technology};
 use non_tree_routing::core::{ldrg_with, LdrgOptions, TransientOracle};
 use non_tree_routing::ert::steiner_elmore_routing_tree;
 use non_tree_routing::geom::{Layout, NetGenerator};
-use non_tree_routing::spice::{
-    sink_delays, AdaptiveOptions, Integrator, Moments, SimConfig, TransientSim,
-};
+use non_tree_routing::spice::{sink_delays, Moments, SimConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let net = NetGenerator::new(Layout::date94(), 77).random_net(12)?;
@@ -57,23 +55,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // Adaptive vs fixed-step transient: same waveform, fewer steps.
-    let tau = extracted
-        .sink_nodes
-        .iter()
-        .map(|&n| moments.elmore_of_node(n).unwrap_or(0.0))
-        .fold(1e-15, f64::max);
-    let mut sim = TransientSim::new(&extracted.circuit, Integrator::Trapezoidal)?;
-    let fixed = sim.run(tau / 100.0, 10.0 * tau, &extracted.sink_nodes)?;
-    let adaptive = sim.run_adaptive(
-        10.0 * tau,
-        &extracted.sink_nodes,
-        &AdaptiveOptions::for_time_scale(tau),
-    )?;
-    println!(
-        "\ntransient to 10 tau: fixed-step {} steps, adaptive {} steps",
-        fixed.times.len(),
-        adaptive.times.len()
-    );
     Ok(())
 }
